@@ -259,7 +259,6 @@ type t = {
   routing : Router.result;
   dims : int * int * int;
   volume : int;
-  total_volume : int;
   breakdown : breakdown;
   trace : Trace.span;
 }
@@ -347,7 +346,6 @@ let run ?(options = default_options) ?trace ?pool ?cache circuit =
     routing;
     dims = (w, h, d);
     volume;
-    total_volume = volume;
     breakdown =
       { t_preprocess;
         t_bridging;

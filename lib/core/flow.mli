@@ -124,7 +124,6 @@ type t = {
   routing : Tqec_route.Router.result;
   dims : int * int * int;   (** (w, h, d) of the compressed circuit *)
   volume : int;             (** compressed space-time volume, boxes included *)
-  total_volume : int;       (** volume (boxes are already placed inside) *)
   breakdown : breakdown;    (** per-stage runtimes, derived from [trace] *)
   trace : Tqec_obs.Trace.span;
       (** the flow's span: one child per stage, holding that stage's

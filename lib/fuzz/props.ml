@@ -64,7 +64,7 @@ let volume ~max_qubits ~max_gates =
         else
           let flow = Flow.run ~options:(options_with_seed salt) c in
           let lin = Lin.of_circuit Lin.One_d c in
-          flow.Flow.total_volume <= lin.Lin.total_volume )
+          flow.Flow.volume <= lin.Lin.total_volume )
 
 let oracle ~max_qubits ~max_gates =
   Prop

@@ -210,18 +210,6 @@ module Search : sig
       [exact] heuristic must never exceed it. *)
 end
 
-val reference_search :
-  ?exact:bool ->
-  ?max_expansions:int ->
-  ?present_penalty:float ->
-  Search.t ->
-  region:Tqec_geom.Cuboid.t ->
-  starts:Tqec_geom.Point3.t list ->
-  goals:Tqec_geom.Point3.t list ->
-  target:Tqec_geom.Point3.t ->
-  Tqec_geom.Point3.t list option
-(** {!Search.run} pinned to the PR 6 Binheap kernel — used only by tests. *)
-
 val validate :
   Tqec_place.Place25d.placement -> result -> (unit, string) Stdlib.result
 (** Checked invariants: every path is axis-connected; endpoints are the
